@@ -14,6 +14,7 @@ and support non-onto, non-covering and multiple hierarchies.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -55,16 +56,17 @@ class DimensionSnapshot:
         object.__setattr__(self, "_children", children)
         object.__setattr__(self, "_parents", parents)
         object.__setattr__(self, "_topo", self._toposort())
+        object.__setattr__(self, "_depths", None)
 
     # -- construction helpers -------------------------------------------------
 
     def _toposort(self) -> tuple[str, ...]:
         """Topological order (roots first); raises on cycles."""
         indegree = {mvid: len(self._parents[mvid]) for mvid in self.members}  # type: ignore[attr-defined]
-        queue = sorted(mvid for mvid, deg in indegree.items() if deg == 0)
+        queue = deque(sorted(mvid for mvid, deg in indegree.items() if deg == 0))
         order: list[str] = []
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             order.append(node)
             for child in sorted(self._children[node]):  # type: ignore[attr-defined]
                 indegree[child] -= 1
@@ -147,14 +149,21 @@ class DimensionSnapshot:
 
     # -- levels (Definition 4) ---------------------------------------------------
 
+    def _depth_table(self) -> dict[str, int]:
+        """Every member's depth, computed once per snapshot."""
+        depths = self._depths  # type: ignore[attr-defined]
+        if depths is None:
+            depths = {}
+            for node in self._topo:  # type: ignore[attr-defined]
+                ps = self._parents[node]  # type: ignore[attr-defined]
+                depths[node] = 0 if not ps else 1 + max(depths[p] for p in ps)
+            object.__setattr__(self, "_depths", depths)
+        return depths
+
     def depth(self, mvid: str) -> int:
         """Longest root-to-``mvid`` path length (roots have depth 0)."""
         self.member(mvid)
-        depths: dict[str, int] = {}
-        for node in self._topo:  # type: ignore[attr-defined]
-            ps = self._parents[node]  # type: ignore[attr-defined]
-            depths[node] = 0 if not ps else 1 + max(depths[p] for p in ps)
-        return depths[mvid]
+        return self._depth_table()[mvid]
 
     def levels(self) -> dict[str, list[str]]:
         """The levels of ``D(t)`` per Definition 4.
@@ -169,12 +178,8 @@ class DimensionSnapshot:
             for mvid, mv in self.members.items():
                 by_level.setdefault(mv.level, []).append(mvid)  # type: ignore[arg-type]
             return {lvl: sorted(ids) for lvl, ids in by_level.items()}
-        depths: dict[str, int] = {}
-        for node in self._topo:  # type: ignore[attr-defined]
-            ps = self._parents[node]  # type: ignore[attr-defined]
-            depths[node] = 0 if not ps else 1 + max(depths[p] for p in ps)
         by_depth: dict[str, list[str]] = {}
-        for mvid, d in depths.items():
+        for mvid, d in self._depth_table().items():
             by_depth.setdefault(f"depth-{d}", []).append(mvid)
         return {lvl: sorted(ids) for lvl, ids in by_depth.items()}
 

@@ -12,10 +12,13 @@ engine and warehouse builders share.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .chronology import Instant
 from .errors import QueryError
+from .structure import levels_across
 from .versions import StructureVersion
 
 __all__ = ["TCM_LABEL", "PresentationMode", "ModeSet", "build_modes"]
@@ -62,6 +65,11 @@ class ModeSet:
             self._modes[mode.label] = mode
         if TCM_LABEL not in self._modes:
             raise QueryError("a mode set must include the temporally consistent mode")
+        self._by_start = sorted(
+            (m for m in self._modes.values() if not m.is_tcm),
+            key=lambda m: m.version.valid_time.start,  # type: ignore[union-attr]
+        )
+        self._starts = [m.version.valid_time.start for m in self._by_start]  # type: ignore[union-attr]
 
     def __iter__(self) -> Iterator[PresentationMode]:
         return iter(self._modes.values())
@@ -96,17 +104,36 @@ class ModeSet:
                 f"unknown presentation mode {label!r} (available: {self.labels})"
             ) from None
 
-    def mode_for_instant(self, t: int) -> PresentationMode:
+    def mode_for_instant(self, t: Instant) -> PresentationMode:
         """The version mode whose structure version covers instant ``t``.
 
         Useful for "map onto the structure of year Y" requests: resolve the
         year to an instant, then to the covering version.
         """
-        for m in self.version_modes:
-            assert m.version is not None
-            if m.version.contains_instant(t):
-                return m
-        raise QueryError(f"no structure version covers instant {t}")
+        mode = self._mode_at(t)
+        if mode is None:
+            raise QueryError(f"no structure version covers instant {t}")
+        return mode
+
+    def version_at(self, t: Instant) -> StructureVersion | None:
+        """The structure version covering ``t``, or ``None`` in a gap.
+
+        Between two critical instants ``D(t)`` cannot change, so this
+        version's snapshot *is* ``D(t)`` — how the temporally consistent
+        mode reuses version indexes instead of slicing each fact instant.
+        """
+        mode = self._mode_at(t)
+        return None if mode is None else mode.version
+
+    def _mode_at(self, t: Instant) -> PresentationMode | None:
+        i = bisect_right(self._starts, t) - 1
+        if i >= 0 and self._by_start[i].version.contains_instant(t):  # type: ignore[union-attr]
+            return self._by_start[i]
+        return None
+
+    def levels_of(self, did: str) -> list[str]:
+        """Level labels of dimension ``did`` across every version mode."""
+        return levels_across((m.version for m in self.version_modes), did)  # type: ignore[misc]
 
 
 def build_modes(versions: Iterable[StructureVersion]) -> ModeSet:

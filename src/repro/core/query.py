@@ -33,10 +33,10 @@ from repro.observability.lineage import NULL_LINEAGE
 
 from .chronology import Granularity, Instant, Interval, YEAR
 from .confidence import ConfidenceFactor
-from .dimension import DimensionSnapshot
 from .errors import QueryError
 from .multiversion import MVFactRow, MultiVersionFactTable
 from .presentation import PresentationMode, TCM_LABEL
+from .structure import NO_LABEL, StructureIndex
 
 __all__ = [
     "TimeGroup",
@@ -336,8 +336,6 @@ class QueryEngine:
         self._slow_log = slow_log
         self._cache = cache
         self._cache_policy_digest = cache_policy_digest
-        self._snapshot_cache: dict[tuple[str, str, Instant], DimensionSnapshot] = {}
-        self._level_cache: dict[tuple[str, str, Instant, str, str], tuple[object, ...]] = {}
 
     @property
     def lineage(self):
@@ -363,66 +361,59 @@ class QueryEngine:
 
     # -- structure resolution ---------------------------------------------------
 
-    def _snapshot(
+    def _structure(
         self, mode: PresentationMode, did: str, t: Instant
-    ) -> DimensionSnapshot:
-        if mode.is_tcm:
-            key = (TCM_LABEL, did, t)
-            if key not in self._snapshot_cache:
-                self._snapshot_cache[key] = self._schema.dimension(did).at(t)
-            return self._snapshot_cache[key]
+    ) -> StructureIndex:
+        """The structure of ``did`` as ``mode`` sees it at fact time ``t``:
+        the version's own for version modes, the version containing ``t``
+        for ``tcm`` (``D(t)`` is constant between critical instants)."""
         version = mode.version
-        assert version is not None
-        anchor = version.valid_time.start
-        key = (mode.label, did, anchor)
-        if key not in self._snapshot_cache:
-            self._snapshot_cache[key] = version.dimension(did).at(anchor)
-        return self._snapshot_cache[key]
+        if version is None:
+            version = self._mvft.modes.version_at(t)
+            if version is None:
+                return StructureIndex.build(self._schema.dimension(did), t)
+        return version.index(did)
 
     def _labels_at_level(
-        self, mode: PresentationMode, term: LevelGroup, leaf: str, t: Instant
+        self,
+        tables: dict,
+        mode: PresentationMode,
+        did: str,
+        level: str,
+        leaf: str,
+        t: Instant,
     ) -> tuple[object, ...]:
         """Member name(s) of the ancestors-or-self of ``leaf`` that sit at
-        the requested level in the mode's structure."""
-        anchor = t if mode.is_tcm else mode.version.valid_time.start  # type: ignore[union-attr]
-        cache_key = (mode.label, term.dimension, anchor, term.level, leaf)
-        if cache_key in self._level_cache:
-            return self._level_cache[cache_key]
-        snap = self._snapshot(mode, term.dimension, t)
-        if leaf not in snap:
-            self._level_cache[cache_key] = (None,)
-            return (None,)
-        level_ids = set(snap.levels().get(term.level, ()))
-        if not level_ids:
-            raise QueryError(
-                f"dimension {term.dimension!r} has no level {term.level!r} in "
-                f"mode {mode.label!r} (available: {sorted(snap.levels())})"
-            )
-        candidates = {leaf} | snap.ancestors(leaf)
-        hits = sorted(candidates & level_ids)
-        labels: tuple[object, ...]
-        if hits:
-            labels = tuple(snap.member(mvid).name for mvid in hits)
-        else:
-            labels = (None,)
-        self._level_cache[cache_key] = labels
-        return labels
+        ``level`` in the mode's structure.
+
+        ``tables`` holds the per-level tables one collection pass has
+        already resolved, so each row costs two dict probes.
+        """
+        key = (did, level, t)
+        names = tables.get(key)
+        if names is None:
+            index = self._structure(mode, did, t)
+            names = index.names_at_level(level)
+            if names is None:
+                raise QueryError(
+                    f"dimension {did!r} has no level {level!r} in "
+                    f"mode {mode.label!r} (available: {sorted(index.levels)})"
+                )
+            tables[key] = names
+        return names.get(leaf, NO_LABEL)
 
     def _passes_filters(
         self,
+        tables: dict,
         mode: PresentationMode,
         filters: tuple[LevelFilter, ...],
         row: MVFactRow,
     ) -> bool:
         """Whether a row survives every level filter of the query."""
         for flt in filters:
-            leaf = row.coordinates.get(flt.dimension)
-            if leaf is None:
-                raise QueryError(
-                    f"rows carry no coordinate for dimension {flt.dimension!r}"
-                )
             labels = self._labels_at_level(
-                mode, LevelGroup(flt.dimension, flt.level), leaf, row.t
+                tables, mode, flt.dimension, flt.level,
+                _coordinate(row, flt.dimension), row.t,
             )
             if not any(label in flt.values for label in labels):
                 return False
@@ -457,6 +448,7 @@ class QueryEngine:
         if rows is None:
             rows = self._mvft.slice(mode.label)
         groups: dict[tuple[object, ...], dict[str, list]] = {}
+        tables: dict = {}
         # Hoisted once per phase: the disabled path pays one bool test per
         # matched row, never an attribute chain.
         lineage = self._lineage
@@ -470,7 +462,7 @@ class QueryEngine:
             if query.coordinate_filter is not None and not query.coordinate_filter(row):
                 continue
             if query.level_filters and not self._passes_filters(
-                mode, query.level_filters, row
+                tables, mode, query.level_filters, row
             ):
                 continue
             label_sets: list[tuple[object, ...]] = []
@@ -480,22 +472,16 @@ class QueryEngine:
                         (term.granularity.label(term.granularity.bucket(row.t)),)
                     )
                     continue
-                leaf = row.coordinates.get(term.dimension)
-                if leaf is None:
-                    raise QueryError(
-                        f"rows carry no coordinate for dimension "
-                        f"{term.dimension!r}"
-                    )
+                leaf = _coordinate(row, term.dimension)
                 if isinstance(term, AttributeGroup):
-                    snap = self._snapshot(mode, term.dimension, row.t)
-                    value = (
-                        snap.member(leaf).attributes.get(term.attribute)
-                        if leaf in snap
-                        else None
-                    )
-                    label_sets.append((value,))
+                    index = self._structure(mode, term.dimension, row.t)
+                    label_sets.append((index.attribute(leaf, term.attribute),))
                 else:
-                    label_sets.append(self._labels_at_level(mode, term, leaf, row.t))
+                    label_sets.append(
+                        self._labels_at_level(
+                            tables, mode, term.dimension, term.level, leaf, row.t
+                        )
+                    )
             matched += 1
             for combo in _product(label_sets):
                 acc = groups.setdefault(combo, {m: [] for m in measures})
@@ -566,6 +552,19 @@ class QueryEngine:
         :class:`ResultTable` objects are shared across callers and
         treated as immutable.
         """
+        return self.execute_cached(query, self._execute_uncached)
+
+    def execute_cached(
+        self, query: Query, compute: Callable[[Query], ResultTable]
+    ) -> ResultTable:
+        """The counted result-cache funnel: serve ``query`` from the
+        attached cache, or run ``compute`` and store its result.
+
+        :meth:`execute` passes the serial run; the sharded executor and
+        the aggregate lattice pass their own, so every path shares one
+        lookup and one ``query.cache_hits`` / ``query.cache_misses``
+        count.
+        """
         cache = self._cache
         key = None
         if cache is not None and not self._lineage.enabled:
@@ -579,7 +578,7 @@ class QueryEngine:
                             "query.cache_hits", {"mode": query.mode}
                         ).inc()
                     return hit
-        table = self._execute_uncached(query)
+        table = compute(query)
         if key is not None:
             _, metrics = self._observability()
             if metrics.enabled:
@@ -636,6 +635,13 @@ class QueryEngine:
             label: self.execute(query.with_mode(label))
             for label in self._mvft.modes.labels
         }
+
+
+def _coordinate(row: MVFactRow, did: str) -> str:
+    leaf = row.coordinates.get(did)
+    if leaf is None:
+        raise QueryError(f"rows carry no coordinate for dimension {did!r}")
+    return leaf
 
 
 def _product(label_sets: Sequence[tuple[object, ...]]) -> Iterable[tuple[object, ...]]:

@@ -14,12 +14,13 @@ cut history at them, and restrict each dimension to each maximal span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from .chronology import NOW, Instant, Interval
 from .dimension import TemporalDimension
 from .errors import ModelError
+from .structure import BUILD_LOCK, StructureIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .schema import TemporalMultidimensionalSchema
@@ -44,6 +45,9 @@ class StructureVersion:
     vsid: str
     valid_time: Interval
     dimensions: Mapping[str, TemporalDimension]
+    _indexes: dict[str, StructureIndex] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def dimension(self, did: str) -> TemporalDimension:
         """The restriction of dimension ``did`` to this version."""
@@ -54,15 +58,27 @@ class StructureVersion:
                 f"structure version {self.vsid!r} has no dimension {did!r}"
             ) from None
 
-    def leaf_ids(self, did: str) -> frozenset[str]:
-        """Ids of the leaf member versions of ``did`` within this version.
+    def index(self, did: str) -> StructureIndex:
+        """The structure index of ``did`` over this version.
 
-        The structure is constant over the span, so leaves at the span's
-        start instant are the leaves throughout.
+        Built on first use from the snapshot at the span's start (the
+        structure is constant over the span) and memoized under the
+        restricted dimension's token, so a mutated restriction is
+        re-indexed rather than served stale.
         """
         dim = self.dimension(did)
-        snap = dim.at(self.valid_time.start)
-        return frozenset(snap.leaves())
+        index = self._indexes.get(did)
+        if index is None or index.token != dim.version_token:
+            with BUILD_LOCK:
+                index = self._indexes.get(did)
+                if index is None or index.token != dim.version_token:
+                    index = StructureIndex.build(dim, self.valid_time.start)
+                    self._indexes[did] = index
+        return index
+
+    def leaf_ids(self, did: str) -> frozenset[str]:
+        """Ids of the leaf member versions of ``did`` within this version."""
+        return self.index(did).leaves
 
     def member_ids(self, did: str) -> frozenset[str]:
         """Ids of every member version of ``did`` valid in this version."""

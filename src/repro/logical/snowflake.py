@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 
 from repro.core.schema import TemporalMultidimensionalSchema
+from repro.core.structure import levels_across
 from repro.core.versions import StructureVersion
 from repro.storage import Column, Database, TEXT, Table
 
@@ -45,18 +46,7 @@ def lower_snowflake(
     may roll up into several parents).
     """
     tables: dict[str, Table] = {}
-    level_of_member: dict[tuple[str, str], str] = {}
-
-    level_names: list[str] = []
-    snapshots = {}
-    for version in versions:
-        snap = version.dimension(did).at(version.valid_time.start)
-        snapshots[version.vsid] = snap
-        for level in snap.levels():
-            if level not in level_names:
-                level_names.append(level)
-
-    for level in level_names:
+    for level in levels_across(versions, did):
         name = snowflake_level_table(did, level)
         tables[name] = db.create_table(
             name,
@@ -71,14 +61,16 @@ def lower_snowflake(
         primary_key=["vsid", "child", "parent"],
     )
 
-    for vsid, snap in snapshots.items():
-        for level, members in snap.levels().items():
+    for version in versions:
+        vsid = version.vsid
+        index = version.index(did)
+        snap = index.snapshot
+        for level, members in index.levels.items():
             table = tables[snowflake_level_table(did, level)]
             for mvid in members:
                 table.insert(
                     {"vsid": vsid, "member": mvid, "name": snap.member(mvid).name}
                 )
-                level_of_member[(vsid, mvid)] = level
         for rel in snap.relationships:
             tables[edge_name].insert(
                 {"vsid": vsid, "child": rel.child, "parent": rel.parent}

@@ -19,6 +19,7 @@ import re
 
 from repro.core.chronology import NowType
 from repro.core.schema import TemporalMultidimensionalSchema
+from repro.core.structure import NO_LABEL, levels_across
 from repro.core.versions import StructureVersion
 from repro.storage import Column, Database, INTEGER, TEXT, Table
 
@@ -50,14 +51,7 @@ def lower_star(
     NULL when open-ended) and one nullable TEXT column per level name seen
     in any version.
     """
-    level_names: list[str] = []
-    snapshots = {}
-    for version in versions:
-        snap = version.dimension(did).at(version.valid_time.start)
-        snapshots[version.vsid] = (version, snap)
-        for level in snap.levels():
-            if level not in level_names:
-                level_names.append(level)
+    level_names = levels_across(versions, did)
 
     columns = [
         Column("vsid", TEXT),
@@ -71,23 +65,23 @@ def lower_star(
         star_table_name(did), columns, primary_key=["vsid", "member"]
     )
 
-    for vsid, (version, snap) in snapshots.items():
-        levels = snap.levels()
+    for version in versions:
+        index = version.index(did)
         end = version.valid_time.end
         valid_to = None if isinstance(end, NowType) else end
-        for leaf in snap.leaves():
+        for leaf in sorted(index.leaves):
             row = {
-                "vsid": vsid,
+                "vsid": version.vsid,
                 "member": leaf,
-                "name": snap.member(leaf).name,
+                "name": index.snapshot.member(leaf).name,
                 "valid_from": version.valid_time.start,
                 "valid_to": valid_to,
             }
-            lineage = {leaf} | snap.ancestors(leaf)
             for level in level_names:
-                hits = sorted(lineage & set(levels.get(level, ())))
+                names = index.names_at_level(level)
+                labels = NO_LABEL if names is None else names[leaf]
                 row[level_column(level)] = (
-                    " | ".join(snap.member(m).name for m in hits) if hits else None
+                    None if labels == NO_LABEL else " | ".join(map(str, labels))
                 )
             table.insert(row)
     return table

@@ -88,19 +88,6 @@ class AggregateLattice:
 
     # -- node computation -----------------------------------------------------------
 
-    def _level_names(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for mode in self.mvft.modes.version_modes:
-            version = mode.version
-            assert version is not None
-            for did in self.schema.dimension_ids:
-                snap = version.dimension(did).at(version.valid_time.start)
-                bucket = out.setdefault(did, [])
-                for level in snap.levels():
-                    if level not in bucket:
-                        bucket.append(level)
-        return out
-
     def _node_result(
         self, mode: str, granularity: Granularity, dimension: str, level: str
     ) -> ResultTable:
@@ -118,15 +105,9 @@ class AggregateLattice:
         )
         if self.executor is None:
             return self.engine.execute(query)
-        # The sharded executor carries its own engine; wrap it with the
-        # same keyed lookup the serial path gets for free.
-        key = self.cache.key_for(self.mvft, query, self.policy_digest)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        result = self.executor.execute(query)
-        self.cache.put(key, result)
-        return result
+        # The sharded executor carries its own engine; run it behind this
+        # lattice's cache funnel, under the keys the serial path uses.
+        return self.engine.execute_cached(query, self.executor.execute)
 
     def _project(
         self, result: ResultTable, measure: str
@@ -172,8 +153,9 @@ class AggregateLattice:
     def _walk_nodes(self):
         """Force every node and yield ``(key, projected_node)`` pairs."""
         self._refresh()
-        levels_by_dim = self._level_names()
-        for mode in self.mvft.modes.labels:
+        modes = self.mvft.modes
+        levels_by_dim = {did: modes.levels_of(did) for did in self.schema.dimension_ids}
+        for mode in modes.labels:
             for gran in self.granularities:
                 for did, levels in levels_by_dim.items():
                     for level in levels:

@@ -29,11 +29,11 @@ def _level_order(cube: Cube, dimension: str) -> list[str]:
         raise QueryError("cube has no structure versions to navigate")
     last = version_modes[-1].version
     assert last is not None
-    snap = last.dimension(dimension).at(last.valid_time.start)
-    levels = snap.levels()
+    index = last.index(dimension)
+    levels = index.levels
 
-    def min_depth(members: list[str]) -> int:
-        return min(snap.depth(m) for m in members)
+    def min_depth(members: tuple[str, ...]) -> int:
+        return min(index.snapshot.depth(m) for m in members)
 
     return sorted(levels, key=lambda lvl: min_depth(levels[lvl]))
 

@@ -54,7 +54,6 @@ class IncrementalMultiVersion:
         self.max_hops = max_hops
         self._mvft: MultiVersionFactTable | None = None
         self._route_cache: dict = {}
-        self._leaf_cache: dict[tuple[str, str], frozenset[str]] = {}
 
     # -- access -------------------------------------------------------------------
 
@@ -72,7 +71,6 @@ class IncrementalMultiVersion:
         the next access rebuilds from scratch."""
         self._mvft = None
         self._route_cache = {}
-        self._leaf_cache = {}
 
     # -- appends ---------------------------------------------------------------------
 
@@ -120,12 +118,9 @@ class IncrementalMultiVersion:
             source = fact.coordinate(did)
             cache_key = (source, version.vsid, did)
             if cache_key not in self._route_cache:
-                leaf_key = (version.vsid, did)
-                if leaf_key not in self._leaf_cache:
-                    self._leaf_cache[leaf_key] = version.leaf_ids(did)
                 self._route_cache[cache_key] = self.schema.mappings.routes(
                     source,
-                    self._leaf_cache[leaf_key],
+                    version.leaf_ids(did),
                     measures=measures,
                     max_hops=self.max_hops,
                 )

@@ -127,11 +127,8 @@ class MultiVersionDataWarehouse:
         the fact's own time."""
         if mode != "tcm":
             return mode
-        for m in self.mvft.modes.version_modes:
-            assert m.version is not None
-            if m.version.contains_instant(t):
-                return m.version.vsid
-        return None
+        version = self.mvft.modes.version_at(t)
+        return None if version is None else version.vsid
 
     def query_level_totals(
         self,

@@ -125,3 +125,37 @@ class TestExecutorIntegration:
         with manager.transaction():
             insert_department(txm, "shx_a", "ShxA")
         assert executor.execute(query).to_text() == before
+
+
+class TestShardedCacheCounters:
+    """The sharded path shares the engine's counted cache funnel, so usage
+    metering sees its hits exactly like the serial path's."""
+
+    def test_sharded_hit_increments_cache_hits(self, mvft):
+        from repro.cache import VersionedResultCache
+        from repro.observability import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        executor = ShardedExecutor(
+            mvft, shards=3, metrics=metrics, cache=VersionedResultCache(1 << 20)
+        )
+        query = QUERIES[0].with_mode("V1")
+        first = executor.execute(query)
+        assert executor.execute(query) is first
+        counters = metrics.snapshot()["counters"]
+        assert counters['query.cache_misses{mode="V1"}'] == 1
+        assert counters['query.cache_hits{mode="V1"}'] == 1
+
+    def test_serial_and_sharded_share_entries_and_counts(self, mvft):
+        from repro.cache import VersionedResultCache
+        from repro.observability import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        executor = ShardedExecutor(
+            mvft, shards=3, metrics=metrics, cache=VersionedResultCache(1 << 20)
+        )
+        serial = executor.execute_serial(QUERIES[1])
+        assert executor.execute(QUERIES[1]) is serial
+        counters = metrics.snapshot()["counters"]
+        assert counters['query.cache_hits{mode="tcm"}'] == 1
+        assert counters['query.cache_misses{mode="tcm"}'] == 1

@@ -252,3 +252,67 @@ class TestCriticalInstants:
         d = TemporalDimension("org")
         d.add_member(MemberVersion("a", "A", Interval(2, 7)))
         assert d.critical_instants() == [2, 8]
+
+
+def _reference_toposort(snap):
+    """Kahn's algorithm as first written (``list.pop(0)``), the order
+    every later implementation must keep."""
+    parents = {m: snap.parents(m) for m in snap.members}
+    children = {m: snap.children(m) for m in snap.members}
+    indegree = {m: len(ps) for m, ps in parents.items()}
+    queue = sorted(m for m, deg in indegree.items() if deg == 0)
+    order = []
+    while queue:
+        node = queue.pop(0)
+        order.append(node)
+        for child in sorted(children[node]):
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                queue.append(child)
+    return tuple(order)
+
+
+def _reference_levels(snap):
+    """Definition 4 levels, recomputing every depth from scratch."""
+    if snap.members and all(mv.level is not None for mv in snap.members.values()):
+        by_level = {}
+        for mvid, mv in snap.members.items():
+            by_level.setdefault(mv.level, []).append(mvid)
+        return {lvl: sorted(ids) for lvl, ids in by_level.items()}, None
+    depths = {}
+    for node in _reference_toposort(snap):
+        ps = snap.parents(node)
+        depths[node] = 0 if not ps else 1 + max(depths[p] for p in ps)
+    by_depth = {}
+    for mvid, d in depths.items():
+        by_depth.setdefault(f"depth-{d}", []).append(mvid)
+    return {lvl: sorted(ids) for lvl, ids in by_depth.items()}, depths
+
+
+class TestSnapshotOrderOnGeneratedWorkloads:
+    """Topological order, depths and levels stay exactly as the original
+    per-call computation produced them, level fields or not."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    @pytest.mark.parametrize("explicit_levels", [True, False])
+    def test_order_and_levels_unchanged(self, seed, explicit_levels):
+        from dataclasses import replace
+
+        from repro.workloads import WorkloadConfig, generate_workload
+
+        org = generate_workload(
+            WorkloadConfig(seed=seed, n_departments=15, n_years=5,
+                           transforms_per_year=1, creations_per_year=1,
+                           deletions_per_year=1)
+        ).org
+        if not explicit_levels:
+            for mv in org.members.values():
+                org.replace_member(replace(mv, level=None))
+        for t in org.critical_instants():
+            snap = org.at(t)
+            assert snap.topological_order() == _reference_toposort(snap)
+            levels, depths = _reference_levels(snap)
+            assert snap.levels() == levels
+            assert list(snap.levels()) == list(levels)
+            if depths is not None:
+                assert {m: snap.depth(m) for m in snap.members} == depths

@@ -1,15 +1,14 @@
 """Incremental MV maintenance vs full rebuild — the load-path ablation.
 
-Appending a batch of facts one by one through the incremental maintainer
-should beat rebuilding the whole MultiVersion fact table after the batch,
-and the two must agree cell for cell (asserted in the test suite; spot
-checked here).
+Appending a batch of facts one by one through
+``MultiVersionFactTable.append_fact`` should beat rebuilding the whole
+MultiVersion fact table after the batch, and the two must agree cell for
+cell (asserted in the test suite; spot checked here).
 """
 
 import pytest
 
 from repro.core import MultiVersionFactTable
-from repro.warehouse import IncrementalMultiVersion
 from repro.workloads.case_study import build_case_study
 
 
@@ -26,11 +25,10 @@ def test_bench_incremental_appends(benchmark):
 
     def run():
         study = build_case_study(with_facts=False)
-        incremental = IncrementalMultiVersion(study.schema)
-        incremental.mvft  # initial (empty) build
+        mvft = MultiVersionFactTable.build(study.schema)  # initial (empty) build
         for coordinates, t, values in stream:
-            incremental.append_fact(coordinates, t, values)
-        return incremental.mvft
+            mvft.append_fact(coordinates, t, values)
+        return mvft
 
     mvft = benchmark(run)
     assert len(mvft.slice("tcm")) == len(stream)

@@ -7,10 +7,11 @@ case-study organization:
 1. the administrator audits the schema before opening it to analysts
    (:func:`repro.core.audit_schema`);
 2. nightly fact batches are folded into the MultiVersion fact table
-   *incrementally* (:class:`repro.warehouse.IncrementalMultiVersion`) —
-   no full rebuild per batch;
-3. a mid-life structural change (a department split) invalidates the
-   table, and the audit explains what the change implies;
+   *incrementally* (:meth:`repro.core.MultiVersionFactTable.append_fact`)
+   — no full rebuild per batch;
+3. a mid-life structural change (a department split) makes the table
+   stale, so it is rebuilt, and the audit explains what the change
+   implies;
 4. a *sloppy* change (a deletion with no mapping) is caught by the audit
    gate before analysts see stranded facts.
 
@@ -19,9 +20,17 @@ Run with::
     python examples/continuous_load.py
 """
 
-from repro.core import EvolutionManager, Query, QueryEngine, TimeGroup, YEAR, audit_schema, ym
+from repro.core import (
+    EvolutionManager,
+    MultiVersionFactTable,
+    Query,
+    QueryEngine,
+    TimeGroup,
+    YEAR,
+    audit_schema,
+    ym,
+)
 from repro.core.query import LevelGroup
-from repro.warehouse import IncrementalMultiVersion
 from repro.workloads.case_study import ORG, build_case_study, fact_instant
 
 
@@ -32,7 +41,7 @@ def main() -> None:
     print("== audit before going live ==")
     print(audit_schema(schema).to_text())
 
-    warehouse = IncrementalMultiVersion(schema)
+    mvft = MultiVersionFactTable.build(schema)
     nightly_batches = {
         2001: [("jones", 100.0), ("smith", 50.0), ("brian", 100.0)],
         2002: [("jones", 100.0), ("smith", 100.0), ("brian", 50.0)],
@@ -40,14 +49,11 @@ def main() -> None:
     }
     for year, batch in nightly_batches.items():
         for dept, amount in batch:
-            warehouse.append_fact({ORG: dept}, fact_instant(year), amount=amount)
-        cells = {
-            label: len(warehouse.mvft.slice(label))
-            for label in warehouse.mvft.modes.labels
-        }
+            mvft.append_fact({ORG: dept}, fact_instant(year), amount=amount)
+        cells = {label: len(mvft.slice(label)) for label in mvft.modes.labels}
         print(f"\nafter the {year} batch: cells per mode = {cells}")
 
-    engine = QueryEngine(warehouse.mvft)
+    engine = QueryEngine(mvft)
     q = Query(group_by=(TimeGroup(YEAR), LevelGroup(ORG, "Division")), mode="V1")
     print("\nQ1 on the incrementally-maintained table (mode V1):")
     print(engine.execute(q).to_text())
@@ -60,15 +66,15 @@ def main() -> None:
         {"smith_a": ("Dpt.Smith-A", 0.5), "smith_b": ("Dpt.Smith-B", 0.5)},
         ym(2004, 1),
     )
-    warehouse.invalidate()  # structure changed: rebuild on next access
+    # The split left the table stale (appends now refuse): rebuild it.
+    mvft = MultiVersionFactTable.build(schema)
     print("audit after the split:")
     print(audit_schema(schema).to_text())
-    warehouse.append_fact({ORG: "smith_a"}, fact_instant(2004), amount=70.0)
-    print(f"modes now: {warehouse.mvft.modes.labels}")
+    mvft.append_fact({ORG: "smith_a"}, fact_instant(2004), amount=70.0)
+    print(f"modes now: {mvft.modes.labels}")
 
     print("\n== a sloppy change: deleting Brian with no mapping ==")
     manager.delete_member(ORG, "brian", ym(2005, 1))
-    warehouse.invalidate()
     report = audit_schema(schema)
     print(report.to_text())
     if not report.ok:

@@ -52,6 +52,7 @@ from .confidence import (
 )
 from .dimension import DimensionSnapshot, TemporalDimension
 from .errors import (
+    AppendRefusedError,
     ChronologyError,
     ConfidenceError,
     CyclicHierarchyError,
@@ -238,6 +239,7 @@ __all__ = [
     "MappingError",
     "FactError",
     "FactValidityError",
+    "AppendRefusedError",
     "OperatorError",
     "QueryError",
     "QualityError",

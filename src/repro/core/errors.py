@@ -22,6 +22,7 @@ __all__ = [
     "MappingError",
     "FactError",
     "FactValidityError",
+    "AppendRefusedError",
     "OperatorError",
     "QueryError",
     "QualityError",
@@ -88,6 +89,13 @@ class FactError(ModelError):
 class FactValidityError(FactError):
     """Raised when a fact row references a member version that is not a leaf
     member version valid at the fact's time coordinate (Definition 5)."""
+
+
+class AppendRefusedError(ModelError):
+    """Raised when a fact cannot be folded into an inferred MultiVersion
+    fact table: the table is pinned to a snapshot, the schema changed
+    since the table was inferred, or a measure's aggregate is not a left
+    fold (``count``, ``avg``).  Rebuild the table instead."""
 
 
 class OperatorError(ModelError):

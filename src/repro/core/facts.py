@@ -22,6 +22,8 @@ algebra — is what reports the resulting unreliability.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -81,7 +83,10 @@ class SumAggregate(AggregateFunction):
     name = "sum"
 
     def fold(self, values: Sequence[float]) -> float:
-        return sum(values)
+        # A left fold on every Python (``sum`` compensates float rounding
+        # from 3.12 on), so folding a cell's folded value with one more
+        # contribution equals folding them all: appends rely on it.
+        return functools.reduce(operator.add, values, 0)
 
 
 class MinAggregate(AggregateFunction):

@@ -121,50 +121,27 @@ def committed_events(
 ) -> list[ChangeEvent]:
     """Fold a journal record sequence into committed change events.
 
-    Uses the same positional commit resolution as recovery
-    (:func:`repro.robustness.recovery._resolve_commits`): txids can be
-    reused across compaction generations, so a ``commit`` record commits
-    exactly the records accumulated since its transaction's most recent
-    ``begin`` — never those of an earlier same-id instance.  Events come
-    out in strict commit-LSN order (payload records grouped under their
-    commit, in journal order; restore points at their own LSN).
+    Uses the journal's positional commit resolution
+    (:func:`repro.robustness.wal.committed_records`), shared with
+    recovery and point-in-time undo.  Events come out in strict
+    commit-LSN order (payload records grouped under their commit, in
+    journal order; restore points at their own LSN).
     """
+    from repro.robustness.wal import committed_records
+
     selected = _normalize_kinds(kinds)
-    events: list[ChangeEvent] = []
-    open_records: dict[int, list[Mapping[str, Any]]] = {}
-    for record in records:
-        kind = record["kind"]
-        if kind == "restore_point":
-            events.append(
-                ChangeEvent(
-                    lsn=record["lsn"],
-                    commit_lsn=record["lsn"],
-                    txid=None,
-                    kind=kind,
-                    record=record,
-                )
-            )
-            continue
-        txid = record.get("txid")
-        if not isinstance(txid, int):
-            continue  # checkpoints carry no txid
-        if kind == "begin":
-            open_records[txid] = []
-        elif kind == "commit":
-            for owned in open_records.pop(txid, ()):
-                events.append(
-                    ChangeEvent(
-                        lsn=owned["lsn"],
-                        commit_lsn=record["lsn"],
-                        txid=txid,
-                        kind=owned["kind"],
-                        record=owned,
-                    )
-                )
-        elif kind == "abort":
-            open_records.pop(txid, None)
-        else:
-            open_records.setdefault(txid, []).append(record)
+    records = list(records)
+    events = [
+        ChangeEvent(
+            lsn=records[i]["lsn"],
+            commit_lsn=commit["lsn"],
+            txid=commit.get("txid"),
+            kind=records[i]["kind"],
+            record=records[i],
+        )
+        for commit, owned in committed_records(records)[0]
+        for i in owned
+    ]
     if selected is None:
         return events
     return [event for event in events if event.kind in selected]

@@ -68,8 +68,7 @@ class FlightRecorder:
         self._clock = clock
         self._spans: deque[Any] = deque(maxlen=capacity)
         self._audit: deque[dict[str, Any]] = deque(maxlen=capacity)
-        self._seen = 0
-        self._anchor: int | None = None
+        self._cursor: tuple[int, int | None] = (0, None)
         self._subscription = (
             bus.subscribe("flight-recorder", topics=["audit"], max_queue=capacity)
             if bus is not None
@@ -83,18 +82,9 @@ class FlightRecorder:
         returns how many new spans arrived."""
         new_spans = 0
         if self.tracer is not None:
-            spans = self.tracer.spans
-            if self._seen and (
-                len(spans) < self._seen
-                or spans[self._seen - 1].span_id != self._anchor
-            ):
-                self._seen = 0  # the tracer was cleared under us
-            fresh = spans[self._seen:]
-            self._seen = len(spans)
-            if fresh:
-                self._anchor = fresh[-1].span_id
-                self._spans.extend(fresh)
-                new_spans = len(fresh)
+            fresh, self._cursor = self.tracer.spans_since(self._cursor)
+            self._spans.extend(fresh)
+            new_spans = len(fresh)
         if self._subscription is not None:
             for _topic, event in self._subscription.drain():
                 self.record_audit(event)

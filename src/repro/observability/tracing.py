@@ -312,6 +312,29 @@ class Tracer:
         with self._lock:
             return tuple(self._finished)
 
+    def spans_since(
+        self, cursor: tuple[int, int | None] = (0, None)
+    ) -> tuple[list[Span], tuple[int, int | None]]:
+        """The spans finished after ``cursor``, and the cursor past them.
+
+        A cursor is ``(spans read, id of the last span read)``; start
+        from ``(0, None)``.  Only the new spans are copied.  When the
+        tracer was cleared since the cursor was taken — even back to the
+        same length — the last span read is no longer at its position,
+        so every finished span is new again.
+        """
+        seen, anchor = cursor
+        with self._lock:
+            finished = self._finished
+            if seen and (
+                len(finished) < seen or finished[seen - 1].span_id != anchor
+            ):
+                seen = 0
+            new = finished[seen:]
+        if new:
+            anchor = new[-1].span_id
+        return new, (seen + len(new), anchor)
+
     def find(self, name: str) -> list[Span]:
         """Finished spans with the given name."""
         return [s for s in self.spans if s.name == name]
@@ -423,6 +446,11 @@ class NullTracer:
         return _NULL_SPAN
 
     spans: tuple[Span, ...] = ()
+
+    def spans_since(
+        self, cursor: tuple[int, int | None] = (0, None)
+    ) -> tuple[list[Span], tuple[int, int | None]]:
+        return [], cursor
 
     def find(self, name: str) -> list[Span]:
         return []

@@ -55,6 +55,7 @@ from .wal import (
     WriteAheadJournal,
     _segment_records,
     _write_manifest,
+    committed_records,
     manifest_path,
     read_chain,
     read_manifest,
@@ -144,32 +145,6 @@ def _resolve(
     return points[target]
 
 
-def _commit_lsns(records: list[dict[str, Any]]) -> dict[int, int]:
-    """Map each committed payload record (by chain index) to the LSN of
-    its transaction's commit record — the instant its effects became
-    durable, which is the clock undo replay rewinds against.  Resolution
-    is positional, like :func:`~repro.robustness.recovery._resolve_commits`,
-    so transaction-id reuse across compaction generations cannot attach a
-    record to the wrong commit."""
-    commit_of: dict[int, int] = {}
-    open_records: dict[int, list[int]] = {}
-    for i, record in enumerate(records):
-        txid = record.get("txid")
-        if not isinstance(txid, int):
-            continue
-        kind = record["kind"]
-        if kind == "begin":
-            open_records[txid] = []
-        elif kind == "commit":
-            for j in open_records.pop(txid, ()):
-                commit_of[j] = record["lsn"]
-        elif kind == "abort":
-            open_records.pop(txid, None)
-        else:
-            open_records.setdefault(txid, []).append(i)
-    return commit_of
-
-
 # -- undo replay ------------------------------------------------------------------
 
 
@@ -229,7 +204,13 @@ def materialize_as_of(
         target_lsn=target_lsn,
         head_lsn=records[-1]["lsn"] if records else 0,
     )
-    commit_of = _commit_lsns(records)
+    # Each committed record's commit LSN — the instant its effects became
+    # durable, which is the clock undo replay rewinds against.
+    commit_of = {
+        i: commit["lsn"]
+        for commit, owned in committed_records(records)[0]
+        for i in owned
+    }
 
     undone_inserts: dict[str, set[int]] = {}
     for i in range(len(records) - 1, -1, -1):

@@ -37,7 +37,12 @@ from repro.storage.schema import table_schema_from_dict, table_schema_to_dict
 
 from .errors import RecoveryError
 from .integrity import IntegrityChecker
-from .wal import WriteAheadJournal, mapping_relationship_from_json, read_chain
+from .wal import (
+    WriteAheadJournal,
+    committed_records,
+    mapping_relationship_from_json,
+    read_chain,
+)
 
 __all__ = [
     "RecoveryReport",
@@ -173,50 +178,13 @@ def _journal_records(
 def _resolve_commits(
     tail: list[dict[str, Any]],
 ) -> tuple[set[int], int, int, int | None]:
-    """Decide positionally which tail records belong to committed
-    transactions.
-
-    Journal generations separated by compaction can reuse transaction
-    ids (the id counter restarts from what the live journal still shows),
-    so membership cannot be a global txid set over an archive chain: a
-    ``commit`` record commits exactly the records its transaction
-    accumulated since its most recent ``begin`` — never the records of an
-    earlier same-id instance.  Returns ``(committed tail indices,
-    transactions replayed, transactions discarded, last committed txid)``.
-    """
-    committed_idx: set[int] = set()
-    open_records: dict[int, list[int]] = {}
-    begun: set[int] = set()
-    replayed = discarded = 0
-    last_committed_txid: int | None = None
-    for i, record in enumerate(tail):
-        txid = record.get("txid")
-        if not isinstance(txid, int):
-            continue  # checkpoints and restore points carry no txid
-        kind = record["kind"]
-        if kind == "begin":
-            if txid in begun:
-                discarded += 1  # a same-id instance that never committed
-            open_records[txid] = []
-            begun.add(txid)
-        elif kind == "commit":
-            committed_idx.update(open_records.pop(txid, ()))
-            if txid in begun:
-                begun.discard(txid)
-                replayed += 1
-            last_committed_txid = txid
-        elif kind == "abort":
-            open_records.pop(txid, None)
-            if txid in begun:
-                begun.discard(txid)
-                discarded += 1
-        else:
-            # A payload record: tentatively owned by the open instance of
-            # its transaction (one may exist without a tail ``begin`` when
-            # the checkpoint landed mid-transaction).
-            open_records.setdefault(txid, []).append(i)
-    discarded += len(begun)
-    return committed_idx, replayed, discarded, last_committed_txid
+    """``(committed tail indices, transactions replayed, transactions
+    discarded, last committed txid)`` by the journal's positional commit
+    fold (:func:`~repro.robustness.wal.committed_records`)."""
+    commits, replayed, discarded = committed_records(tail)
+    committed_idx = {i for _, owned in commits for i in owned}
+    txids = [commit["txid"] for commit, _ in commits if commit["kind"] == "commit"]
+    return committed_idx, replayed, discarded, txids[-1] if txids else None
 
 
 def _last_checkpoint(

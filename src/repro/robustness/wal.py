@@ -77,6 +77,7 @@ __all__ = [
     "manifest_path",
     "read_manifest",
     "read_chain",
+    "committed_records",
     "sweep_journal",
 ]
 
@@ -794,6 +795,57 @@ def read_chain(path: str | Path) -> list[dict[str, Any]]:
             )
         last_lsn = record["lsn"]
     return chain
+
+
+def committed_records(
+    records: list[dict[str, Any]],
+) -> tuple[list[tuple[dict[str, Any], list[int]]], int, int]:
+    """Resolve positionally which of ``records`` committed.
+
+    Returns ``(commits, replayed, discarded)``.  ``commits`` pairs each
+    committing record with the indices (into ``records``) of the records
+    it owns, in commit-LSN order.  Journal generations separated by
+    compaction can reuse transaction ids (the id counter restarts from
+    what the live journal still shows), so ownership cannot be a global
+    txid set over an archive chain: a ``commit`` owns exactly the records
+    its transaction accumulated since its most recent ``begin`` — never
+    those of an earlier same-id instance.  A payload record may have no
+    ``begin`` in ``records`` when a checkpoint landed mid-transaction.  A
+    ``restore_point`` commits itself at its own LSN.  ``replayed`` and
+    ``discarded`` count the transactions begun in ``records`` that
+    committed and that did not (aborted, re-begun under the same id, or
+    still open at the end).
+    """
+    commits: list[tuple[dict[str, Any], list[int]]] = []
+    open_records: dict[int, list[int]] = {}
+    begun: set[int] = set()
+    replayed = discarded = 0
+    for i, record in enumerate(records):
+        kind = record["kind"]
+        if kind == "restore_point":
+            commits.append((record, [i]))
+            continue
+        txid = record.get("txid")
+        if not isinstance(txid, int):
+            continue  # checkpoints carry no txid
+        if kind == "begin":
+            if txid in begun:
+                discarded += 1  # a same-id instance that never committed
+            open_records[txid] = []
+            begun.add(txid)
+        elif kind == "commit":
+            commits.append((record, open_records.pop(txid, [])))
+            if txid in begun:
+                begun.discard(txid)
+                replayed += 1
+        elif kind == "abort":
+            open_records.pop(txid, None)
+            if txid in begun:
+                begun.discard(txid)
+                discarded += 1
+        else:
+            open_records.setdefault(txid, []).append(i)
+    return commits, replayed, discarded + len(begun)
 
 
 def sweep_journal(path: str | Path) -> dict[str, Any]:

@@ -12,10 +12,12 @@
   sketches against the replication redundancy;
 * :mod:`~repro.warehouse.metadata` — user-facing member/evolution
   metadata.
+
+Incremental maintenance under fact appends is
+:meth:`repro.core.MultiVersionFactTable.append_fact`.
 """
 
 from .delta import DeltaMultiVersionStore
-from .incremental import IncrementalMultiVersion
 from .etl import (
     CleaningRule,
     ETLPipeline,
@@ -46,7 +48,6 @@ __all__ = [
     "MultiVersionDataWarehouse",
     "MV_FACT_TABLE",
     "DeltaMultiVersionStore",
-    "IncrementalMultiVersion",
     "MAPPING_TABLE",
     "build_mapping_table",
     "mapping_relations_extract",

@@ -200,3 +200,28 @@ class TestRecovery:
         recovered, _ = recover_schema(wal_path)
         assert fingerprint(recovered) == fingerprint(schema)
         assert len(recovered.mappings) == 1
+
+
+class TestCommittedRecords:
+    """The positional commit fold shared by recovery, PITR undo and CDC."""
+
+    def test_reused_txid_commits_only_its_own_instance(self):
+        from repro.robustness.wal import committed_records
+
+        records = [
+            {"lsn": 1, "kind": "begin", "txid": 1},
+            {"lsn": 2, "kind": "op", "txid": 1},  # crashed before commit
+            {"lsn": 3, "kind": "begin", "txid": 1},  # id reused after restart
+            {"lsn": 4, "kind": "op", "txid": 1},
+            {"lsn": 5, "kind": "restore_point", "name": "golden"},
+            {"lsn": 6, "kind": "begin", "txid": 2},
+            {"lsn": 7, "kind": "abort", "txid": 2},
+            {"lsn": 8, "kind": "commit", "txid": 1},
+            {"lsn": 9, "kind": "begin", "txid": 3},  # still open at the end
+        ]
+        commits, replayed, discarded = committed_records(records)
+        assert [(commit["lsn"], owned) for commit, owned in commits] == [
+            (5, [4]),
+            (8, [3]),
+        ]
+        assert (replayed, discarded) == (1, 3)
